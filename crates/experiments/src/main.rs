@@ -255,11 +255,17 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
                     need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
             }
             "--mixes" => {
-                opts.mixes = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
+                opts.mixes = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?;
+                if opts.mixes == 0 {
+                    return Err(format!("{arg}: must be positive"));
+                }
             }
             "--cycles" => {
                 opts.sim_cycles =
-                    need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
+                    need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?;
+                if opts.sim_cycles == 0 {
+                    return Err(format!("{arg}: must be positive"));
+                }
             }
             "--region-rows" => {
                 opts.region_rows =

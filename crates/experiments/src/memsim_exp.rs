@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use vrd_memsim::system::{SimConfig, System};
+use vrd_memsim::system::{SimConfig, SimStats, System};
 use vrd_memsim::workload::WorkloadParams;
 use vrd_memsim::MitigationKind;
 
@@ -40,22 +40,36 @@ pub struct Fig14Result {
     pub mixes: usize,
 }
 
+/// The effective threshold of `rdt` under a `margin` guardband, at
+/// least 1.
+fn effective_threshold(rdt: u32, margin: f64) -> u32 {
+    (f64::from(rdt) * (1.0 - margin)).round().max(1.0) as u32
+}
+
 /// Runs the Fig. 14 sweep.
+///
+/// The unmitigated baseline ignores the threshold, so each mix's
+/// baseline is simulated once and shared by every point.
 pub fn run(opts: &Options) -> Fig14Result {
-    let mixes: Vec<[WorkloadParams; 4]> =
-        WorkloadParams::paper_mixes().into_iter().take(opts.mixes.max(1)).collect();
+    let mixes: Vec<(SimConfig, u64, SimStats)> = WorkloadParams::paper_mixes()
+        .into_iter()
+        .take(opts.mixes.max(1))
+        .enumerate()
+        .map(|(mix_idx, mix)| {
+            let cfg = SimConfig { cycles: opts.sim_cycles, banks: 16, mix };
+            let seed = opts.seed ^ ((mix_idx as u64) << 16);
+            let baseline = System::run_mix(&cfg, MitigationKind::None, 1, seed);
+            (cfg, seed, baseline)
+        })
+        .collect();
     let mut points = Vec::new();
     for &rdt in &RDT_VALUES {
         for &margin in &MARGINS {
-            let effective = ((f64::from(rdt)) * (1.0 - margin)).round().max(1.0) as u32;
+            let effective = effective_threshold(rdt, margin);
             for kind in MitigationKind::EVALUATED {
                 let mut sum = 0.0;
-                for (mix_idx, mix) in mixes.iter().enumerate() {
-                    let cfg = SimConfig { cycles: opts.sim_cycles, banks: 16, mix: *mix };
-                    let seed = opts.seed ^ ((mix_idx as u64) << 16);
-                    let baseline = System::run_mix(&cfg, MitigationKind::None, effective, seed);
-                    let mitigated = System::run_mix(&cfg, kind, effective, seed);
-                    sum += mitigated.weighted_ipc(&baseline);
+                for (cfg, seed, baseline) in &mixes {
+                    sum += System::run_mix(cfg, kind, effective, *seed).weighted_ipc(baseline);
                 }
                 points.push(Fig14Point {
                     mitigation: kind,
@@ -75,21 +89,23 @@ pub fn render(result: &Fig14Result) -> String {
     let mut table = Table::new(["RDT", "margin", "effective", "Graphene", "PRAC", "PARA", "MINT"]);
     for &rdt in &RDT_VALUES {
         for &margin in &MARGINS {
+            let row: Vec<&Fig14Point> = result
+                .points
+                .iter()
+                .filter(|p| p.rdt == rdt && (p.margin - margin).abs() < 1e-9)
+                .collect();
             let get = |kind: MitigationKind| -> String {
-                result
-                    .points
-                    .iter()
-                    .find(|p| {
-                        p.mitigation == kind && p.rdt == rdt && (p.margin - margin).abs() < 1e-9
-                    })
+                row.iter()
+                    .find(|p| p.mitigation == kind)
                     .map(|p| f(p.normalized_performance, 3))
                     .unwrap_or_else(|| "-".into())
             };
-            let effective = ((f64::from(rdt)) * (1.0 - margin)).round() as u32;
+            let effective =
+                row.first().map_or_else(|| "-".into(), |p| p.effective_threshold.to_string());
             table.row([
                 rdt.to_string(),
                 format!("{:.0}%", margin * 100.0),
-                effective.to_string(),
+                effective,
                 get(MitigationKind::Graphene),
                 get(MitigationKind::Prac),
                 get(MitigationKind::Para),
@@ -170,6 +186,23 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    #[test]
+    fn effective_threshold_is_clamped_to_one() {
+        assert_eq!(effective_threshold(128, 0.5), 64);
+        assert_eq!(effective_threshold(1024, 0.25), 768);
+        assert_eq!(effective_threshold(1, 0.75), 1);
+        assert_eq!(effective_threshold(128, 1.0), 1);
+    }
+
+    #[test]
+    fn render_prints_each_points_effective_threshold() {
+        let mut r = smoke_result().clone();
+        for p in r.points.iter_mut().filter(|p| p.rdt == 128 && p.margin == 0.5) {
+            p.effective_threshold = 4321;
+        }
+        assert!(render(&r).lines().any(|l| l.contains("50%") && l.contains("4321")));
     }
 
     #[test]

@@ -116,30 +116,25 @@ impl DramChannel {
         bank / self.timing.banks_per_group.max(1)
     }
 
-    /// Whether an ACT may issue at `now` under tFAW and tRRD.
-    fn act_window_ok(&self, bank: usize, now: u64) -> bool {
+    /// The earliest time an ACT to `bank` is legal under tFAW and tRRD.
+    fn act_window_open_at(&self, bank: usize) -> u64 {
+        let t = &self.timing;
+        let mut at = 0;
         // tFAW: with four prior ACTs tracked, the oldest must have left
         // the rolling window.
         if self.recent_acts.iter().all(|t| t.is_some()) {
             let oldest = self.recent_acts.iter().flatten().copied().min().expect("all some");
-            if now < oldest + self.timing.t_faw {
-                return false;
-            }
+            at = oldest + t.t_faw;
         }
         // Same-group spacing (tRRD_L).
-        let group = self.group_of(bank);
-        if let Some(last) = self.last_act_in_group[group] {
-            if now < last + self.timing.t_rrd_l {
-                return false;
-            }
+        if let Some(last) = self.last_act_in_group[self.group_of(bank)] {
+            at = at.max(last + t.t_rrd_l);
         }
         // Any-bank spacing (tRRD_S).
         if let Some(newest) = self.recent_acts.iter().flatten().copied().max() {
-            if now < newest + self.timing.t_rrd_s {
-                return false;
-            }
+            at = at.max(newest + t.t_rrd_s);
         }
-        true
+        at
     }
 
     /// Records an ACT at `now` for the window trackers.
@@ -230,7 +225,7 @@ impl DramChannel {
             None => {
                 // Closed: activate when legal (bank timing plus the
                 // channel-level tFAW / tRRD windows).
-                if now >= state.next_act && self.act_window_ok(bank, now) {
+                if now >= state.next_act && now >= self.act_window_open_at(bank) {
                     let state = &mut self.banks[bank];
                     state.open_row = Some(row);
                     state.activations += 1;
@@ -241,6 +236,21 @@ impl DramChannel {
                 }
                 None
             }
+        }
+    }
+
+    /// A lower bound on the next time [`service`](Self::service)`(bank,
+    /// row, _)` can change any state: before it, `service` is a no-op
+    /// that returns `None`. The bound is exact for the current state,
+    /// and other banks' commands (bus bursts, ACTs filling the tFAW and
+    /// tRRD windows) can only delay it; this bank's own commands, a
+    /// refresh, or a block can move it either way.
+    pub fn next_issue_at(&self, bank: usize, row: u32) -> u64 {
+        let state = &self.banks[bank];
+        match state.open_row {
+            Some(open) if open == row => state.next_col.max(self.bus_free),
+            Some(_) => state.next_pre,
+            None => state.next_act.max(self.act_window_open_at(bank)),
         }
     }
 
@@ -405,5 +415,86 @@ mod tests {
         // Same bank group: the second ACT waits out tRRD_L.
         ch.service(1, 2, 5);
         assert_eq!(ch.total_activations(), 2);
+    }
+
+    #[test]
+    fn next_issue_at_is_exact_for_each_branch() {
+        let mut ch = DramChannel::new(8, DramTiming::default());
+        // Closed bank, empty windows: now.
+        assert_eq!(ch.next_issue_at(0, 1), 0);
+        ch.service(0, 1, 0); // ACT
+        assert_eq!(ch.next_issue_at(0, 1), 14, "row hit waits tRCD");
+        assert_eq!(ch.next_issue_at(0, 2), 32, "conflict waits tRAS");
+        assert_eq!(ch.next_issue_at(1, 1), 5, "same group waits tRRD_L");
+        assert_eq!(ch.next_issue_at(4, 1), 2, "other group waits tRRD_S");
+        assert_eq!(ch.service(0, 1, 14), Some(18));
+        ch.service(4, 1, 2);
+        assert_eq!(ch.next_issue_at(4, 1), 18, "the data bus is busy until 18");
+    }
+
+    /// Snapshot of everything `service` may change.
+    fn observable(ch: &DramChannel) -> impl PartialEq + std::fmt::Debug {
+        let hits: Vec<bool> = (0..ch.bank_count())
+            .flat_map(|b| (0..4).map(move |r| (b, r)))
+            .map(|(b, r)| ch.is_row_hit(b, r))
+            .collect();
+        (
+            ch.banks.clone(),
+            hits,
+            (ch.refreshes, ch.preventive_ops, ch.total_activations()),
+            (ch.bus_free, ch.recent_acts, ch.last_act_in_group.clone()),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn service_is_a_no_op_before_next_issue_at(
+            history in proptest::collection::vec(
+                ((0u8..10, 0usize..8), (0u32..4, 0u64..150, 1u64..200)),
+                0..60,
+            ),
+            probe_bank in 0usize..8,
+            probe_row in 0u32..4,
+        ) {
+            // Up to ~9k ns of history, so periodic refreshes (every
+            // 3.9k ns) fall inside it.
+            let mut ch = DramChannel::new(8, DramTiming::default());
+            let mut now = 0u64;
+            for ((op, bank), (row, dt, duration)) in history {
+                now += dt;
+                match op {
+                    0..=6 => {
+                        let before = ch.next_issue_at(probe_bank, probe_row);
+                        ch.service(bank, row, now);
+                        if bank != probe_bank {
+                            proptest::prop_assert!(
+                                ch.next_issue_at(probe_bank, probe_row) >= before,
+                                "bank {bank}'s command brought bank {probe_bank} earlier"
+                            );
+                        }
+                    }
+                    7 => {
+                        ch.maybe_refresh(now);
+                    }
+                    8 => ch.block_bank(bank, now, duration),
+                    _ => ch.block_all(now, duration),
+                }
+            }
+            let next = ch.next_issue_at(probe_bank, probe_row);
+            let before = observable(&ch);
+            for t in now..next {
+                proptest::prop_assert_eq!(ch.service(probe_bank, probe_row, t), None);
+                proptest::prop_assert!(
+                    observable(&ch) == before,
+                    "service at {t} < {next} changed state"
+                );
+            }
+            // The bound is exact: at it, the command issues.
+            let at = next.max(now);
+            let issued = ch.service(probe_bank, probe_row, at);
+            proptest::prop_assert!(issued.is_some() || observable(&ch) != before);
+        }
     }
 }

@@ -23,7 +23,9 @@
 //!   the device's spatial layout; every mechanism in [`mitigation`] can
 //!   consult one instead of a uniform worst-case threshold.
 //! - [`system`] — ties everything into a steppable system and reports
-//!   weighted speedup.
+//!   weighted speedup. The loop is ns-accurate, but it visits a bank
+//!   only once the bank's next command could issue
+//!   ([`dram::DramChannel::next_issue_at`]).
 //!
 //! # Examples
 //!

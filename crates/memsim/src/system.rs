@@ -1,5 +1,15 @@
 //! The assembled memory system: cores + per-bank queues + FR-FCFS
 //! scheduling + DRAM channel + mitigation.
+//!
+//! The loop is ns-accurate: every simulated nanosecond delivers
+//! completions, steps the cores and offers each bank one command. A
+//! bank is only visited, though, once it could issue. After visiting a
+//! bank, [`System`] stores [`DramChannel::next_issue_at`] for the
+//! bank's next FR-FCFS pick as the bank's wake time and skips the bank
+//! until then; other banks' commands can only delay that time. Any
+//! event that can change a bank's pick or its command branch resets the
+//! bank's wake time to the current ns: a request enqueued on it, a
+//! periodic refresh, or a mitigation action that blocks it.
 
 use serde::{Deserialize, Serialize};
 
@@ -118,6 +128,9 @@ pub struct System {
     cores: Vec<Core>,
     channel: DramChannel,
     queues: Vec<Vec<QueuedRequest>>,
+    /// Per bank, a lower bound on the ns its FR-FCFS pick can issue
+    /// (`u64::MAX` while its queue is empty); the bank is skipped before it.
+    wake: Vec<u64>,
     completions: Vec<(u64, usize)>,
     mitigation: Box<dyn Mitigation>,
     now: u64,
@@ -153,6 +166,7 @@ impl System {
             cores,
             channel: DramChannel::new(cfg.banks, DramTiming::default()),
             queues: vec![Vec::new(); cfg.banks],
+            wake: vec![0; cfg.banks],
             completions: Vec::new(),
             mitigation: kind.build_with_profile(&mitigation_cfg, profile),
             now: 0,
@@ -202,6 +216,7 @@ impl System {
 
         // Periodic refresh (and the mitigation's REF-time hook).
         if self.channel.maybe_refresh(now) {
+            self.wake.fill(now);
             let actions = self.mitigation.on_refresh(now);
             self.apply_actions(actions, now);
         }
@@ -226,24 +241,31 @@ impl System {
                     row: access.row,
                     arrival: now,
                 });
+                self.wake[access.bank] = now;
             }
         }
 
         // FR-FCFS per bank: serve the oldest row hit, else the oldest.
         for bank in 0..self.queues.len() {
-            let Some(pick) = self.pick_request(bank) else {
+            if self.wake[bank] > now {
                 continue;
-            };
-            let row = self.queues[bank][pick].row;
-            let was_hit = self.channel.is_row_hit(bank, row);
-            if let Some(done_at) = self.channel.service(bank, row, now) {
-                let req = self.queues[bank].swap_remove(pick);
-                self.completions.push((done_at, req.core));
-            } else if !was_hit && self.channel.is_row_hit(bank, row) {
-                // An activation just happened: inform the mitigation.
-                let actions = self.mitigation.on_activate(bank, row, now);
-                self.apply_actions(actions, now);
             }
+            if let Some(pick) = self.pick_request(bank) {
+                let row = self.queues[bank][pick].row;
+                let was_hit = self.channel.is_row_hit(bank, row);
+                if let Some(done_at) = self.channel.service(bank, row, now) {
+                    let req = self.queues[bank].swap_remove(pick);
+                    self.completions.push((done_at, req.core));
+                } else if !was_hit && self.channel.is_row_hit(bank, row) {
+                    // An activation just happened: inform the mitigation.
+                    let actions = self.mitigation.on_activate(bank, row, now);
+                    self.apply_actions(actions, now);
+                }
+            }
+            // Sleep until the next pick could issue.
+            self.wake[bank] = self.pick_request(bank).map_or(u64::MAX, |next| {
+                self.channel.next_issue_at(bank, self.queues[bank][next].row)
+            });
         }
 
         self.now += 1;
@@ -276,12 +298,15 @@ impl System {
             match action {
                 MitigationAction::RefreshNeighbors { bank, .. } => {
                     self.channel.block_bank(bank, now, t_rfm);
+                    self.wake[bank] = now;
                 }
                 MitigationAction::BlockBank { bank, duration } => {
                     self.channel.block_bank(bank, now, duration);
+                    self.wake[bank] = now;
                 }
                 MitigationAction::BlockChannel { duration } => {
                     self.channel.block_all(now, duration);
+                    self.wake.fill(now);
                 }
             }
         }
