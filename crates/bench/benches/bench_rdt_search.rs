@@ -6,9 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vrd_bench::prepared_platform;
-use vrd_core::algorithm::{
-    measure_rdt_once_with, test_loop_using, test_loop_with, EvalStrategy, SearchStrategy,
-};
+use vrd_core::algorithm::{measure_rdt_once_using, test_loop_using, EvalStrategy, SearchStrategy};
 use vrd_dram::TestConditions;
 
 fn bench(c: &mut Criterion) {
@@ -23,12 +21,33 @@ fn bench(c: &mut Criterion) {
     {
         let (mut platform, row, sweep) = prepared_platform("M1", 1);
         group.bench_function(&format!("measure_rdt_once/{name}"), |b| {
-            b.iter(|| measure_rdt_once_with(&mut platform, 0, row, &conditions, &sweep, search))
+            b.iter(|| {
+                measure_rdt_once_using(
+                    &mut platform,
+                    0,
+                    row,
+                    &conditions,
+                    &sweep,
+                    search,
+                    EvalStrategy::default(),
+                )
+            })
         });
 
         let (mut platform, row, sweep) = prepared_platform("M1", 2);
         group.bench_function(&format!("test_loop_20/{name}"), |b| {
-            b.iter(|| test_loop_with(&mut platform, 0, row, &conditions, 20, &sweep, search))
+            b.iter(|| {
+                test_loop_using(
+                    &mut platform,
+                    0,
+                    row,
+                    &conditions,
+                    20,
+                    &sweep,
+                    search,
+                    EvalStrategy::default(),
+                )
+            })
         });
     }
 

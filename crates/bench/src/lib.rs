@@ -6,8 +6,7 @@
 
 use vrd_bender::TestPlatform;
 use vrd_core::algorithm::{
-    find_victim, test_loop, test_loop_using, test_loop_with, EvalStrategy, SearchStrategy,
-    SweepSpec,
+    find_victim, test_loop, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec,
 };
 use vrd_core::RdtSeries;
 use vrd_dram::{ModuleSpec, TestConditions};
@@ -60,7 +59,16 @@ pub fn search_cost(
     let conditions = TestConditions::foundational();
     let before = platform.hammer_sessions();
     let started = std::time::Instant::now();
-    let series = test_loop_with(&mut platform, 0, row, &conditions, measurements, &sweep, search);
+    let series = test_loop_using(
+        &mut platform,
+        0,
+        row,
+        &conditions,
+        measurements,
+        &sweep,
+        search,
+        EvalStrategy::default(),
+    );
     SearchCost {
         series,
         sessions: platform.hammer_sessions() - before,

@@ -20,28 +20,20 @@ use crate::timing::TimingParams;
 /// One measurement epoch prepared for batched hammer sessions.
 ///
 /// Wraps the device-side [`RowBatchProfile`] together with the
-/// platform-side constants a session charges: the cached program keys the
-/// scalar path would have fetched and the pre-folded per-program
+/// platform-side constants a session charges: the pre-folded per-program
 /// time/energy figures, accumulated in the same `f64` operation order as
 /// [`crate::program::execute`] so batched bookkeeping stays bitwise
-/// identical to running the programs.
+/// identical to running the programs. No command program is built or
+/// fetched.
 #[derive(Debug, Clone)]
 pub struct BatchMeasurement {
     profile: RowBatchProfile,
-    /// Init keys in session order: victim, below aggressor, above.
-    init_keys: [ProgramKey; 3],
-    /// Raw (unclamped) `t_AggOn` bits embedded in the hammer keys.
-    hammer_t_on_bits: u64,
     /// Elapsed time of one init program (Act + 128 write bursts + Pre).
     init_elapsed_ns: f64,
     /// Energy of one init program.
     init_energy_nj: f64,
     /// Elapsed time per hammer activation (`max(t_AggOn, t_RAS) + t_RP`).
     hammer_per_act_ns: f64,
-    /// Program-cache generation at which all three init keys were last
-    /// proven cached; `None` (or a stale generation) means the next
-    /// session must replay the init fetches in full.
-    primed_generation: Option<u64>,
 }
 
 impl BatchMeasurement {
@@ -332,71 +324,27 @@ impl TestPlatform {
         init_elapsed_ns += self.timing.t_rp;
         let init_energy_nj =
             1.0 * self.energy.act_pre_nj + f64::from(BURSTS_PER_ROW) * self.energy.write_nj;
-        let init_keys = [
-            ProgramKey::Init {
-                bank,
-                row: profile.victim(),
-                fill: profile.victim_fill(),
-                bursts: BURSTS_PER_ROW,
-            },
-            ProgramKey::Init {
-                bank,
-                row: profile.below(),
-                fill: profile.aggressor_fill(),
-                bursts: BURSTS_PER_ROW,
-            },
-            ProgramKey::Init {
-                bank,
-                row: profile.above(),
-                fill: profile.aggressor_fill(),
-                bursts: BURSTS_PER_ROW,
-            },
-        ];
         Some(BatchMeasurement {
             profile,
-            init_keys,
-            hammer_t_on_bits: conditions.t_agg_on_ns.to_bits(),
             init_elapsed_ns,
             init_energy_nj,
             hammer_per_act_ns: t_eff + self.timing.t_rp,
-            primed_generation: None,
         })
     }
 
     /// Runs one double-sided hammer session of a prepared batch epoch:
-    /// counters, program-cache traffic, time, and energy advance exactly
-    /// as the scalar init/hammer/read sequence would advance them, and
-    /// the device replays the session's end state in one lane-compare
-    /// pass. Returns whether the read observed any (post-ECC) bitflip.
-    pub fn run_batched_session(&mut self, batch: &mut BatchMeasurement, hammer_count: u32) -> bool {
+    /// the session counter, time, and energy advance exactly as the
+    /// scalar init/hammer/read sequence would advance them, and the
+    /// device replays the session's end state in one lane-compare pass.
+    /// Builds no command program. Returns whether the read observed any
+    /// (post-ECC) bitflip.
+    pub fn run_batched_session(&mut self, batch: &BatchMeasurement, hammer_count: u32) -> bool {
         self.note_hammer_session();
-        // The init programs never change within an epoch; once all three
-        // keys are proven cached (and no wholesale clear has happened
-        // since), the fetches collapse to a hit-counter bump.
-        if batch.primed_generation == Some(self.programs.generation()) {
-            self.programs.note_hits(3);
-        } else {
-            let generation = self.programs.generation();
-            for key in batch.init_keys {
-                self.programs.touch(key);
-            }
-            batch.primed_generation =
-                (self.programs.generation() == generation).then_some(generation);
-        }
-        for _ in 0..batch.init_keys.len() {
+        // Three init programs per session: victim, below aggressor, above.
+        for _ in 0..3 {
             self.elapsed_ns += batch.init_elapsed_ns;
             self.energy_nj += batch.init_energy_nj;
         }
-        // The scalar path fetches the hammer program even for zero
-        // hammers (the program is an empty loop), so the cache counters
-        // only match if the batch path does too.
-        self.programs.touch(ProgramKey::Hammer {
-            bank: batch.profile.bank(),
-            aggr1: batch.profile.below(),
-            aggr2: batch.profile.above(),
-            count: hammer_count,
-            t_on_bits: batch.hammer_t_on_bits,
-        });
         if hammer_count > 0 {
             let per_side = f64::from(hammer_count) * batch.hammer_per_act_ns;
             self.elapsed_ns += per_side + per_side;

@@ -157,9 +157,6 @@ pub struct ProgramCache {
     map: vrd_dram::hashing::FxHashMap<ProgramKey, std::sync::Arc<Program>>,
     hits: u64,
     builds: u64,
-    /// Bumped on every wholesale clear; lets callers that memoize "this
-    /// key is cached" invalidate their note when the cache resets.
-    generation: u64,
 }
 
 /// A campaign's working set is a few hundred programs; past this the
@@ -181,41 +178,11 @@ impl ProgramCache {
         }
         if self.map.len() >= PROGRAM_CACHE_CAP {
             self.map.clear();
-            self.generation += 1;
         }
         self.builds += 1;
         let p = std::sync::Arc::new(key.build());
         self.map.insert(key, std::sync::Arc::clone(&p));
         p
-    }
-
-    /// Records a fetch of `key` without handing out the program: the
-    /// hit/build counters and the cache contents advance exactly as
-    /// [`get_or_build`](Self::get_or_build) would advance them. For
-    /// callers that replay cache traffic but execute nothing.
-    pub fn touch(&mut self, key: ProgramKey) {
-        if self.map.contains_key(&key) {
-            self.hits += 1;
-            return;
-        }
-        if self.map.len() >= PROGRAM_CACHE_CAP {
-            self.map.clear();
-            self.generation += 1;
-        }
-        self.builds += 1;
-        self.map.insert(key, std::sync::Arc::new(key.build()));
-    }
-
-    /// Records `n` fetches of keys the caller has proven cached (see
-    /// [`generation`](Self::generation)).
-    pub(crate) fn note_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
-
-    /// The current clear generation; unchanged means every key fetched
-    /// since the last observation is still cached.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// `(hits, builds)` since construction.

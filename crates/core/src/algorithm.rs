@@ -31,13 +31,17 @@ pub const FIND_VICTIM_CUTOFF: u32 = 40_000;
 /// flip predicate is then monotone in the hammer count, so both
 /// strategies return the identical first flipping count:
 ///
-/// - [`Linear`](SearchStrategy::Linear) walks the grid in ascending
+/// - [`Linear`](Self::Linear) walks the grid in ascending
 ///   order, one hammer session per point — Alg. 1 as written, O(grid).
-/// - [`Adaptive`](SearchStrategy::Adaptive) gallops and bisects
+/// - [`Adaptive`](Self::Adaptive) gallops and bisects
 ///   ([`vrd_bender::search::first_true`]) — O(log grid) sessions.
 ///
-/// `tests/search_equivalence.rs` proves the byte-identity of the two on
-/// full campaigns; the default is [`Adaptive`](SearchStrategy::Adaptive).
+/// Production code always runs the default,
+/// [`Adaptive`](Self::Adaptive); `Linear` is the differential
+/// oracle that `tests/search_equivalence.rs` and the `vrd-bench` gates
+/// compare it against, selected through
+/// [`ExecConfig::search`](crate::exec::ExecConfig::search) or
+/// [`measure_rdt_once_using`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// Ascending linear scan of the sweep grid.
@@ -47,82 +51,30 @@ pub enum SearchStrategy {
     Adaptive,
 }
 
-impl SearchStrategy {
-    fn name(self) -> &'static str {
-        match self {
-            SearchStrategy::Linear => "Linear",
-            SearchStrategy::Adaptive => "Adaptive",
-        }
-    }
-}
-
-impl Serialize for SearchStrategy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_owned())
-    }
-}
-
-impl Deserialize for SearchStrategy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => {
-                s.parse().map_err(|_| serde::Error(format!("unknown search strategy `{s}`")))
-            }
-            other => Err(serde::Error(format!(
-                "expected search strategy string, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    /// Configs serialized before the strategy existed deserialize to the
-    /// default instead of erroring.
-    fn from_missing_field(_name: &str) -> Result<Self, serde::Error> {
-        Ok(SearchStrategy::default())
-    }
-}
-
-impl std::str::FromStr for SearchStrategy {
-    type Err = String;
-
-    /// Accepts the variant name, case-insensitively (`linear` /
-    /// `adaptive`), as used by the `--search` CLI flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "linear" => Ok(SearchStrategy::Linear),
-            "adaptive" => Ok(SearchStrategy::Adaptive),
-            other => {
-                Err(format!("unknown search strategy `{other}` (expected `linear` or `adaptive`)"))
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for SearchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// How one RDT measurement evaluates the hammer sessions of its sweep.
 ///
 /// Both strategies produce byte-identical results — the same flip
-/// outcomes, counters, simulated time/energy, and program-cache traffic —
-/// because batched evaluation replays exactly the state transitions of
-/// the scalar command sequence (see
+/// outcomes, session counters, and simulated time/energy — because
+/// batched evaluation replays exactly the state transitions of the
+/// scalar command sequence (see
 /// [`vrd_dram::batch`] and `tests/batch_equivalence.rs`):
 ///
-/// - [`Scalar`](EvalStrategy::Scalar) executes every session as DRAM
+/// - [`Scalar`](Self::Scalar) executes every session as DRAM
 ///   command programs, re-deriving each cell's per-epoch threshold on
 ///   every probe.
-/// - [`Batch`](EvalStrategy::Batch) draws all of the epoch's per-bit
+/// - [`Batch`](Self::Batch) draws all of the epoch's per-bit
 ///   thresholds once into struct-of-arrays lanes
 ///   ([`vrd_dram::LaneThresholds`]) and reduces each probe to one
 ///   branch-free `u64` lane-mask compare pass over the whole row.
 ///
 /// Rows the batch engine cannot capture (refresh/TRR interference, edge
 /// victims, asymmetric mappings) silently fall back to the scalar path,
-/// so `Batch` is safe — and the default — everywhere.
+/// so `Batch` is safe — and the default — everywhere. Production code
+/// always runs `Batch`; `Scalar` is the differential oracle that
+/// `tests/batch_equivalence.rs` and the `vrd-bench` gates compare it
+/// against, selected through
+/// [`ExecConfig::eval`](crate::exec::ExecConfig::eval) or
+/// [`measure_rdt_once_using`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EvalStrategy {
     /// Per-session DRAM command execution.
@@ -130,60 +82,6 @@ pub enum EvalStrategy {
     /// Whole-row struct-of-arrays evaluation per epoch.
     #[default]
     Batch,
-}
-
-impl EvalStrategy {
-    fn name(self) -> &'static str {
-        match self {
-            EvalStrategy::Scalar => "Scalar",
-            EvalStrategy::Batch => "Batch",
-        }
-    }
-}
-
-impl Serialize for EvalStrategy {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_owned())
-    }
-}
-
-impl Deserialize for EvalStrategy {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => {
-                s.parse().map_err(|_| serde::Error(format!("unknown eval strategy `{s}`")))
-            }
-            other => {
-                Err(serde::Error(format!("expected eval strategy string, found {}", other.kind())))
-            }
-        }
-    }
-
-    /// Configs serialized before the strategy existed deserialize to the
-    /// default instead of erroring.
-    fn from_missing_field(_name: &str) -> Result<Self, serde::Error> {
-        Ok(EvalStrategy::default())
-    }
-}
-
-impl std::str::FromStr for EvalStrategy {
-    type Err = String;
-
-    /// Accepts the variant name, case-insensitively (`scalar` / `batch`),
-    /// as used by the `--eval` CLI flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(EvalStrategy::Scalar),
-            "batch" => Ok(EvalStrategy::Batch),
-            other => Err(format!("unknown eval strategy `{other}` (expected `scalar` or `batch`)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EvalStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Hammer-count sweep grid of one RDT measurement.
@@ -250,7 +148,12 @@ impl SweepSpec {
 /// count on the sweep grid whose session flips the victim, or `None` if
 /// the row survives the whole sweep (a censored measurement).
 ///
-/// Uses the default [`SearchStrategy`]; see [`measure_rdt_once_with`].
+/// The measurement opens a new *measurement epoch* on the platform and
+/// runs every hammer session of the sweep in keyed-dynamics mode: the
+/// per-cell threshold draw and the between-measurement trap evolution are
+/// pure functions of `(dynamics seed, epoch, cell)`, independent of how
+/// many sessions ran before or in which order. Uses the default
+/// strategies; see [`measure_rdt_once_using`].
 pub fn measure_rdt_once(
     platform: &mut TestPlatform,
     bank: usize,
@@ -258,42 +161,19 @@ pub fn measure_rdt_once(
     conditions: &TestConditions,
     sweep: &SweepSpec,
 ) -> Option<u32> {
-    measure_rdt_once_with(platform, bank, victim, conditions, sweep, SearchStrategy::default())
-}
-
-/// One RDT measurement with an explicit [`SearchStrategy`].
-///
-/// The measurement opens a new *measurement epoch* on the platform and
-/// runs every hammer session of the sweep in keyed-dynamics mode: the
-/// per-cell threshold draw and the between-measurement trap evolution are
-/// pure functions of `(dynamics seed, epoch, cell)`, independent of how
-/// many sessions ran before or in which order. Under those dynamics the
-/// flip predicate is monotone in the hammer count, so
-/// [`Linear`](SearchStrategy::Linear) and
-/// [`Adaptive`](SearchStrategy::Adaptive) return identical results — the
-/// adaptive strategy merely spends O(log grid) sessions instead of
-/// O(grid).
-pub fn measure_rdt_once_with(
-    platform: &mut TestPlatform,
-    bank: usize,
-    victim: u32,
-    conditions: &TestConditions,
-    sweep: &SweepSpec,
-    search: SearchStrategy,
-) -> Option<u32> {
     measure_rdt_once_using(
         platform,
         bank,
         victim,
         conditions,
         sweep,
-        search,
+        SearchStrategy::default(),
         EvalStrategy::default(),
     )
 }
 
 /// One RDT measurement with explicit [`SearchStrategy`] and
-/// [`EvalStrategy`].
+/// [`EvalStrategy`]: the entry point for the differential oracles.
 ///
 /// Under [`EvalStrategy::Batch`] the measurement first tries to capture
 /// the epoch as a [`vrd_dram::RowBatchProfile`] (one struct-of-arrays
@@ -312,25 +192,18 @@ pub fn measure_rdt_once_using(
     eval: EvalStrategy,
 ) -> Option<u32> {
     let epoch = platform.begin_measurement();
-    if eval == EvalStrategy::Batch && !sweep.is_empty() {
-        if let Some(mut batch) = platform.prepare_batch_epoch(epoch, bank, victim, conditions) {
-            let mut probe = |hc: u32| {
-                let session = u64::from((hc - sweep.min) / sweep.step);
-                platform.begin_keyed_session(epoch, session);
-                platform.run_batched_session(&mut batch, hc)
-            };
-            let first = match search {
-                SearchStrategy::Linear => sweep.grid().find(|&hc| probe(hc)),
-                SearchStrategy::Adaptive => sweep.search_grid(probe),
-            };
-            platform.end_keyed_session();
-            return first;
-        }
-    }
+    let batch = if eval == EvalStrategy::Batch && !sweep.is_empty() {
+        platform.prepare_batch_epoch(epoch, bank, victim, conditions)
+    } else {
+        None
+    };
     let mut probe = |hc: u32| {
         let session = u64::from((hc - sweep.min) / sweep.step);
         platform.begin_keyed_session(epoch, session);
-        !hammer_session(platform, bank, victim, hc, conditions).is_empty()
+        match &batch {
+            Some(batch) => platform.run_batched_session(batch, hc),
+            None => !hammer_session(platform, bank, victim, hc, conditions).is_empty(),
+        }
     };
     let first = match search {
         SearchStrategy::Linear => sweep.grid().find(|&hc| probe(hc)),
@@ -375,7 +248,7 @@ pub fn find_victim(
 
 /// Alg. 1's `test_loop`: measures the victim's RDT `measurements` times
 /// over the given sweep, returning the series (censored sweeps counted
-/// separately). Uses the default [`SearchStrategy`].
+/// separately). Uses the default strategies; see [`test_loop_using`].
 pub fn test_loop(
     platform: &mut TestPlatform,
     bank: usize,
@@ -384,28 +257,6 @@ pub fn test_loop(
     measurements: u32,
     sweep: &SweepSpec,
 ) -> RdtSeries {
-    test_loop_with(
-        platform,
-        bank,
-        victim,
-        conditions,
-        measurements,
-        sweep,
-        SearchStrategy::default(),
-    )
-}
-
-/// Alg. 1's `test_loop` with an explicit [`SearchStrategy`] (see
-/// [`measure_rdt_once_with`]).
-pub fn test_loop_with(
-    platform: &mut TestPlatform,
-    bank: usize,
-    victim: u32,
-    conditions: &TestConditions,
-    measurements: u32,
-    sweep: &SweepSpec,
-    search: SearchStrategy,
-) -> RdtSeries {
     test_loop_using(
         platform,
         bank,
@@ -413,7 +264,7 @@ pub fn test_loop_with(
         conditions,
         measurements,
         sweep,
-        search,
+        SearchStrategy::default(),
         EvalStrategy::default(),
     )
 }
@@ -539,23 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn search_strategy_parses_and_roundtrips() {
-        use serde::{Deserialize as _, Serialize as _};
-        assert_eq!("linear".parse::<SearchStrategy>().unwrap(), SearchStrategy::Linear);
-        assert_eq!("Adaptive".parse::<SearchStrategy>().unwrap(), SearchStrategy::Adaptive);
-        assert!("fast".parse::<SearchStrategy>().is_err());
-        for s in [SearchStrategy::Linear, SearchStrategy::Adaptive] {
-            assert_eq!(SearchStrategy::from_value(&s.to_value()).unwrap(), s);
-            assert_eq!(s.to_string().parse::<SearchStrategy>().unwrap(), s);
-        }
-        // Configs from before the field existed keep deserializing.
-        assert_eq!(
-            SearchStrategy::from_missing_field("search").unwrap(),
-            SearchStrategy::default()
-        );
-    }
-
-    #[test]
     fn linear_and_adaptive_measure_identical_series() {
         let conditions = TestConditions::foundational();
         let measure = |search| {
@@ -564,7 +398,16 @@ mod tests {
                 find_victim(&mut platform, 0, &conditions, FIND_VICTIM_CUTOFF, 2..2000).unwrap();
             let sweep = SweepSpec::from_guess(guess);
             let before = platform.hammer_sessions();
-            let series = test_loop_with(&mut platform, 0, row, &conditions, 40, &sweep, search);
+            let series = test_loop_using(
+                &mut platform,
+                0,
+                row,
+                &conditions,
+                40,
+                &sweep,
+                search,
+                EvalStrategy::default(),
+            );
             (series, platform.hammer_sessions() - before)
         };
         let (linear, linear_sessions) = measure(SearchStrategy::Linear);
@@ -585,26 +428,21 @@ mod tests {
                 .find(|&r| platform.device_mut().oracle_row_threshold(0, r, &conditions).is_none())
                 .expect("some row has no weak cell");
             let sweep = SweepSpec { min: 100, max: 2_000, step: 100 };
-            test_loop_with(&mut platform, 0, strong, &conditions, 10, &sweep, search)
+            test_loop_using(
+                &mut platform,
+                0,
+                strong,
+                &conditions,
+                10,
+                &sweep,
+                search,
+                EvalStrategy::default(),
+            )
         };
         let linear = run(SearchStrategy::Linear);
         let adaptive = run(SearchStrategy::Adaptive);
         assert_eq!(linear, adaptive);
         assert_eq!(adaptive.censored(), 10);
-    }
-
-    #[test]
-    fn eval_strategy_parses_and_roundtrips() {
-        use serde::{Deserialize as _, Serialize as _};
-        assert_eq!("scalar".parse::<EvalStrategy>().unwrap(), EvalStrategy::Scalar);
-        assert_eq!("Batch".parse::<EvalStrategy>().unwrap(), EvalStrategy::Batch);
-        assert!("vector".parse::<EvalStrategy>().is_err());
-        for e in [EvalStrategy::Scalar, EvalStrategy::Batch] {
-            assert_eq!(EvalStrategy::from_value(&e.to_value()).unwrap(), e);
-            assert_eq!(e.to_string().parse::<EvalStrategy>().unwrap(), e);
-        }
-        // Configs from before the field existed keep deserializing.
-        assert_eq!(EvalStrategy::from_missing_field("eval").unwrap(), EvalStrategy::default());
     }
 
     #[test]

@@ -5,19 +5,15 @@
 //! Campaign scale is configurable: the defaults match the paper; tests
 //! and quick runs shrink the measurement counts and row ranges.
 //!
-//! Two execution paths exist:
-//!
-//! - [`run_foundational`] is the legacy single-module serial entry point,
-//!   kept byte-for-byte stable (regression suites pin its output).
-//! - [`foundational_campaign`] / [`in_depth_campaign`] shard the work
-//!   across the deterministic executor ([`crate::exec`]): every unit
-//!   (module, or module × row × condition cell) runs on a fresh platform
-//!   whose dynamics RNG is reseeded from the unit's derived seed, so the
-//!   campaign output is bit-identical at any thread count. A
-//!   [`RunOptions`] value selects the capabilities — progress counters,
-//!   event observers, checkpointing, cancellation — that used to be the
-//!   `run_X_campaign{,_observed,_checkpointed}` triad (removed after a
-//!   deprecation cycle).
+//! [`foundational_campaign`] and [`in_depth_campaign`] shard the work
+//! across the deterministic executor ([`crate::exec`]): every unit
+//! (module, or module × row × condition cell) runs on a fresh platform
+//! whose dynamics RNG is reseeded from the unit's derived seed, so the
+//! campaign output is bit-identical at any thread count. A single-module
+//! serial run is `foundational_campaign(&[spec], &cfg,
+//! &RunOptions::new(ExecConfig::serial(cfg.seed)))`. A [`RunOptions`]
+//! value selects the capabilities — progress counters, event observers,
+//! checkpointing, cancellation.
 
 use std::time::Instant;
 
@@ -29,8 +25,7 @@ use vrd_dram::spec::ModuleSpec;
 use vrd_dram::TestConditions;
 
 use crate::algorithm::{
-    find_victim, test_loop, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec,
-    FIND_VICTIM_CUTOFF,
+    find_victim, test_loop_using, EvalStrategy, SearchStrategy, SweepSpec, FIND_VICTIM_CUTOFF,
 };
 use crate::checkpoint::CheckpointError;
 use crate::exec::{ExecConfig, ExecReport, Progress, Unit, UnitCtx, UnitKey};
@@ -149,33 +144,14 @@ pub struct FoundationalResult {
     pub test_time_ns: f64,
 }
 
-/// Runs the foundational campaign (Alg. 1) against one module. Returns
-/// `None` if no sufficiently vulnerable row exists in the scanned range.
-pub fn run_foundational(spec: &ModuleSpec, cfg: &FoundationalConfig) -> Option<FoundationalResult> {
-    let mut platform =
-        TestPlatform::for_module_with_row_bytes(spec.clone(), cfg.seed, cfg.row_bytes);
-    platform.set_temperature_c(cfg.conditions.temperature_c);
-    let (row, guess) =
-        find_victim(&mut platform, 0, &cfg.conditions, FIND_VICTIM_CUTOFF, 2..cfg.scan_rows)?;
-    let sweep = SweepSpec::from_guess(guess);
-    let series = test_loop(&mut platform, 0, row, &cfg.conditions, cfg.measurements, &sweep);
-    Some(FoundationalResult {
-        module: spec.name.clone(),
-        row,
-        rdt_guess: guess,
-        series,
-        test_time_ns: platform.elapsed_ns(),
-    })
-}
-
 /// Runs the foundational campaign across a fleet of modules on the
 /// deterministic executor, under [`RunOptions`]: plain, observed,
 /// checkpointed, and cancellable are all configurations of this one
 /// entry point.
 ///
 /// Each module is one work unit: a fresh platform built from `cfg.seed`
-/// (so the weak-cell layout matches the legacy path) with its dynamics
-/// RNG reseeded from the unit's derived seed. Output order follows
+/// (which fixes the weak-cell layout) with its dynamics RNG reseeded
+/// from the unit's derived seed. Output order follows
 /// `specs`; entries are `None` for modules with no vulnerable row in
 /// the scanned range.
 ///
@@ -671,10 +647,16 @@ mod tests {
         }
     }
 
+    /// One module's foundational result from a serial campaign run.
+    fn foundational_one(module: &str, cfg: &FoundationalConfig) -> Option<FoundationalResult> {
+        let spec = ModuleSpec::by_name(module).unwrap();
+        let opts = RunOptions::new(ExecConfig::serial(cfg.seed));
+        foundational_campaign(&[spec], cfg, &opts).unwrap().pop().flatten()
+    }
+
     #[test]
     fn foundational_campaign_measures_one_row() {
-        let spec = ModuleSpec::by_name("M1").unwrap();
-        let result = run_foundational(&spec, &quick_foundational()).expect("M1 has weak rows");
+        let result = foundational_one("M1", &quick_foundational()).expect("M1 has weak rows");
         assert_eq!(result.module, "M1");
         assert_eq!(result.series.len() + result.series.censored() as usize, 50);
         assert!(result.rdt_guess < FIND_VICTIM_CUTOFF);
@@ -683,10 +665,9 @@ mod tests {
 
     #[test]
     fn foundational_series_exhibits_vrd() {
-        let spec = ModuleSpec::by_name("M1").unwrap();
         let mut cfg = quick_foundational();
         cfg.measurements = 120;
-        let result = run_foundational(&spec, &cfg).unwrap();
+        let result = foundational_one("M1", &cfg).unwrap();
         assert!(
             vrd_stats::histogram::unique_count(result.series.values()) > 1,
             "Finding 1: the RDT must change over repeated measurements"

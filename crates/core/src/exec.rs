@@ -68,7 +68,7 @@ pub mod faults;
 /// `#[non_exhaustive]`: construct through [`ExecConfig::new`],
 /// [`ExecConfig::serial`], or [`ExecConfig::builder`], so future fields
 /// are not breaking changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExecConfig {
     /// Worker threads (0 = all available cores).
@@ -76,17 +76,17 @@ pub struct ExecConfig {
     /// The campaign seed; combined with each [`UnitKey`] into the
     /// per-unit dynamics seed.
     pub campaign_seed: u64,
-    /// How RDT measurements locate the first flipping grid point. Both
-    /// strategies produce byte-identical campaign results (see
-    /// [`SearchStrategy`]); [`Adaptive`](SearchStrategy::Adaptive) — the
-    /// default — spends O(log grid) hammer sessions per measurement
-    /// instead of O(grid).
+    /// Oracle selector: how RDT measurements locate the first flipping
+    /// grid point. No production caller sets it; the default,
+    /// [`Adaptive`](SearchStrategy::Adaptive), is what campaigns run.
+    /// Tests and bench gates set the linear oracle to check that both
+    /// measure byte-identical campaigns.
     pub search: SearchStrategy,
-    /// How RDT measurements evaluate the hammer sessions they probe.
-    /// Both strategies produce byte-identical campaign results (see
-    /// [`EvalStrategy`]); [`Batch`](EvalStrategy::Batch) — the default —
-    /// evaluates a whole row per measurement epoch in one
-    /// struct-of-arrays pass instead of per-session command programs.
+    /// Oracle selector: how RDT measurements evaluate the hammer sessions
+    /// they probe. No production caller sets it; the default,
+    /// [`Batch`](EvalStrategy::Batch), is what campaigns run. Tests and
+    /// bench gates set the scalar oracle to check that both measure
+    /// byte-identical campaigns.
     pub eval: EvalStrategy,
 }
 
@@ -104,12 +104,7 @@ impl ExecConfig {
     /// A single-threaded configuration (the reference ordering; parallel
     /// runs must match it byte for byte).
     pub fn serial(campaign_seed: u64) -> Self {
-        ExecConfig {
-            threads: 1,
-            campaign_seed,
-            search: SearchStrategy::default(),
-            eval: EvalStrategy::default(),
-        }
+        ExecConfig::new(1, campaign_seed)
     }
 
     /// A builder seeded with the defaults (all cores, campaign seed 0).
@@ -152,13 +147,15 @@ impl ExecConfigBuilder {
         self
     }
 
-    /// Sets the RDT search strategy.
+    /// Sets the RDT search strategy (an oracle selector; see
+    /// [`ExecConfig::search`]).
     pub fn search(mut self, search: SearchStrategy) -> Self {
         self.cfg.search = search;
         self
     }
 
-    /// Sets the hammer-session evaluation strategy.
+    /// Sets the hammer-session evaluation strategy (an oracle selector;
+    /// see [`ExecConfig::eval`]).
     pub fn eval(mut self, eval: EvalStrategy) -> Self {
         self.cfg.eval = eval;
         self

@@ -35,14 +35,6 @@
 //!   --seed N              root RNG seed
 //!   --threads N           worker threads (0 = all cores); results are
 //!                         identical at any thread count
-//!   --search S            RDT search strategy: adaptive (default;
-//!                         O(log grid) hammer sessions per measurement)
-//!                         or linear (Alg. 1 as written); results are
-//!                         identical either way
-//!   --eval E              hammer-session evaluation: batch (default;
-//!                         whole-row struct-of-arrays pass per epoch)
-//!                         or scalar (per-session command programs);
-//!                         results are identical either way
 //!   --shard I/N           run only the I-th of N round-robin roster
 //!                         shards (for spreading a campaign across
 //!                         processes; per-module results are unchanged)
@@ -298,12 +290,6 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
             }
             "--threads" => {
                 opts.threads = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--search" => {
-                opts.search = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
-            }
-            "--eval" => {
-                opts.eval = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?
             }
             "--shard" => {
                 let value = need(&mut iter, arg)?;

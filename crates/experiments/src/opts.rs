@@ -4,12 +4,10 @@
 //! `--release`; `--paper` switches every knob to the paper's full scale
 //! (expect long runs, exactly like the paper's 29-day footnote warns).
 
-use serde::{Deserialize, Serialize};
-
 use crate::sinks::LogFormat;
 
 /// Scale and scope configuration shared by all experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Measurements per row for the foundational study (paper: 100,000).
     pub foundational_measurements: u32,
@@ -85,15 +83,6 @@ pub struct Options {
     pub trace_out: Option<String>,
     /// Terminal output encoding (`--log-format human|json`).
     pub log_format: LogFormat,
-    /// RDT search strategy (`--search linear|adaptive`). Both produce
-    /// byte-identical campaign results; adaptive (the default) spends
-    /// O(log grid) hammer sessions per measurement instead of O(grid).
-    pub search: vrd_core::SearchStrategy,
-    /// Hammer-session evaluation strategy (`--eval scalar|batch`). Both
-    /// produce byte-identical campaign results; batch (the default)
-    /// evaluates a whole row per measurement epoch in one
-    /// struct-of-arrays pass instead of per-session command programs.
-    pub eval: vrd_core::EvalStrategy,
 }
 
 impl Default for Options {
@@ -126,8 +115,6 @@ impl Default for Options {
             fail_after_units: None,
             trace_out: None,
             log_format: LogFormat::Human,
-            search: vrd_core::SearchStrategy::default(),
-            eval: vrd_core::EvalStrategy::default(),
         }
     }
 }
@@ -194,10 +181,6 @@ impl Options {
     /// The executor configuration for campaign parallelism.
     pub fn exec_config(&self) -> vrd_core::exec::ExecConfig {
         vrd_core::exec::ExecConfig::new(self.threads, self.seed)
-            .to_builder()
-            .search(self.search)
-            .eval(self.eval)
-            .build()
     }
 
     /// The discovery-campaign configuration at this scale. Selection

@@ -66,8 +66,13 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
     }
 }
 
+/// Largest request body accepted, in bytes. The largest legitimate
+/// body, a `JobSpec`, is well under 1 KiB; a larger declared
+/// `Content-Length` is refused with 413 before anything is allocated.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// Parses one request and routes it.
-fn handle(stream: TcpStream, service: &Service) {
+fn handle(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
@@ -90,11 +95,18 @@ fn handle(stream: TcpStream, service: &Service) {
             Ok(_) if line.trim().is_empty() => break,
             Ok(_) => {
                 if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                    content_length = v.trim().parse().unwrap_or(0);
+                    let Ok(n) = v.trim().parse() else {
+                        return json(&mut stream, 400, "{\"error\":\"bad Content-Length\"}");
+                    };
+                    content_length = n;
                 }
             }
             Err(_) => return,
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        let error = format!("body larger than {MAX_BODY_BYTES} bytes");
+        return json(&mut stream, 413, &format!("{{\"error\":{}}}", quote(&error)));
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 && reader.read_exact(&mut body).is_err() {
@@ -217,6 +229,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8])
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     let header = format!(

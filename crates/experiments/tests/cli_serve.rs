@@ -38,13 +38,18 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// One `Connection: close` HTTP exchange; returns (status, body).
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to service");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("set timeout");
     let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n{body}",
         body.len()
     );
+    http_raw(addr, &request)
+}
+
+/// Sends `request` verbatim and reads the response; returns (status, body).
+fn http_raw(addr: &str, request: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect to service");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("set timeout");
     stream.write_all(request.as_bytes()).expect("send request");
     let mut text = String::new();
     stream.read_to_string(&mut text).expect("read response");
@@ -329,6 +334,54 @@ fn serve_validates_flags_and_submissions() {
     assert_eq!(status, 400);
     let (status, _) = http(&addr, "POST", "/jobs/job-00000/cancel", "");
     assert_eq!(status, 400, "cancel of an unknown job must fail");
+    let (status, _) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    assert!(child.wait().expect("service exits").success());
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn hostile_request_bodies_are_refused_and_the_service_survives() {
+    let state = scratch_dir("hostile");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vrd-exp"))
+        .args([
+            "serve",
+            "--state-dir",
+            state.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            "--fleet-size",
+            "50",
+            "--workers",
+            "1",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn vrd-exp serve");
+    let addr = wait_endpoint(&state);
+
+    // Nesting far past the JSON parser's depth limit: a 400, not a stack
+    // overflow that takes the whole service down.
+    let (status, body) = http(&addr, "POST", "/jobs", &"[".repeat(200_000));
+    assert_eq!(status, 400, "deeply nested body must be a 400: {body}");
+    assert!(body.contains("recursion limit"), "{body}");
+    assert_eq!(http(&addr, "GET", "/healthz", "").0, 200, "service must keep answering");
+
+    // A declared body over the cap is refused before it is allocated or
+    // read; an unparseable length is a plain 400.
+    let huge = format!(
+        "POST /jobs HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 1000000000000\r\n\
+         Connection: close\r\n\r\n"
+    );
+    let (status, body) = http_raw(&addr, &huge);
+    assert_eq!(status, 413, "oversized body must be a 413: {body}");
+    let bad = format!(
+        "POST /jobs HTTP/1.1\r\nHost: {addr}\r\nContent-Length: lots\r\nConnection: close\r\n\r\n"
+    );
+    assert_eq!(http_raw(&addr, &bad).0, 400);
+    assert_eq!(http(&addr, "GET", "/healthz", "").0, 200, "service must keep answering");
+
     let (status, _) = http(&addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     assert!(child.wait().expect("service exits").success());

@@ -55,9 +55,10 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// # Errors
 ///
-/// Returns an error on malformed JSON or a shape mismatch with `T`.
+/// Returns an error on malformed JSON, arrays and objects nested deeper
+/// than [`MAX_DEPTH`], or a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     let value = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -151,9 +152,17 @@ fn write_escaped(out: &mut String, s: &str) {
 
 // ----- parser --------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so
+/// without a bound a long run of `[` overflows the stack and aborts the
+/// process instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,8 +198,18 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => self.parse_seq(),
-            b'{' => self.parse_map(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "recursion limit exceeded: nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' { self.parse_seq() } else { self.parse_map() };
+                self.depth -= 1;
+                value
+            }
             b'-' | b'0'..=b'9' => self.parse_number(),
             other => {
                 Err(Error(format!("unexpected character `{}` at byte {}", other as char, self.pos)))
@@ -404,5 +423,20 @@ mod tests {
         assert!(from_str::<Value>("{\"a\" 1}").is_err());
         assert!(from_str::<Value>("1 2").is_err());
         assert!(from_str::<u32>("\"x\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize, open: &str, close: &str| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH, "{\"a\":", "}")).is_ok());
+        for deep in [nested(MAX_DEPTH + 1, "[", "]"), nested(MAX_DEPTH + 1, "{\"a\":", "}")] {
+            let err = from_str::<Value>(&deep).unwrap_err();
+            assert!(err.0.contains("recursion limit"), "{err}");
+        }
+        // Far past the limit, where unbounded recursion would overflow
+        // the stack: the parser stops at the limit with an error.
+        let err = from_str::<Value>(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.0.contains("recursion limit"), "{err}");
     }
 }

@@ -124,7 +124,6 @@ struct Fingerprint {
     elapsed_ns_bits: u64,
     energy_j_bits: u64,
     total_activations: u64,
-    cache_hits_and_builds: (u64, u64),
     /// Post-run device state: surviving bitflips around the victim,
     /// read back row by row against the pattern's expected bytes.
     post_state: Vec<(u32, Vec<u32>)>,
@@ -167,7 +166,6 @@ fn fingerprint(
         elapsed_ns_bits: platform.elapsed_ns().to_bits(),
         energy_j_bits: platform.energy_j().to_bits(),
         total_activations: platform.device().total_activations(),
-        cache_hits_and_builds: platform.program_cache_stats(),
         post_state,
     })
 }
@@ -201,6 +199,41 @@ fn full_platform_fingerprints_match_with_on_die_ecc() {
     }
     let long_on = TestConditions::foundational().with_t_agg_on_ns(T_AGG_ON_TREFI_NS);
     assert_fingerprints_match(41, true, &long_on, 8);
+}
+
+#[test]
+fn batch_sessions_build_no_programs() {
+    // The batch path charges counters, time, and energy only: it neither
+    // builds nor fetches a command program, so the program cache stays
+    // exactly as victim selection left it.
+    let conditions = TestConditions::foundational();
+    let victim = |platform: &mut TestPlatform| {
+        find_victim(platform, 0, &conditions, FIND_VICTIM_CUTOFF, 2..2_000).expect("vulnerable row")
+    };
+    // The row must be one the batch engine captures; probe that on an
+    // identically-seeded twin so the measured platform stays untouched.
+    let mut twin = TestPlatform::small_test(41);
+    let (row, _) = victim(&mut twin);
+    let epoch = twin.begin_measurement();
+    assert!(twin.prepare_batch_epoch(epoch, 0, row, &conditions).is_some());
+
+    let mut platform = TestPlatform::small_test(41);
+    let (row, guess) = victim(&mut platform);
+    let cache_before = platform.program_cache_stats();
+    let sessions_before = platform.hammer_sessions();
+    let series = test_loop_using(
+        &mut platform,
+        0,
+        row,
+        &conditions,
+        12,
+        &SweepSpec::from_guess(guess),
+        SearchStrategy::Adaptive,
+        EvalStrategy::Batch,
+    );
+    assert_eq!(series.len() + series.censored() as usize, 12);
+    assert!(platform.hammer_sessions() > sessions_before, "the loop must run sessions");
+    assert_eq!(platform.program_cache_stats(), cache_before, "batch sessions touched the cache");
 }
 
 #[test]
