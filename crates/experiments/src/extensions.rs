@@ -15,18 +15,20 @@ use serde::{Deserialize, Serialize};
 use vrd_bender::TestPlatform;
 use vrd_core::algorithm::{find_victim, test_loop, SweepSpec, FIND_VICTIM_CUTOFF};
 use vrd_core::campaign::select_rows;
+use vrd_core::exec::UnitKey;
 use vrd_core::metrics::SeriesMetrics;
 use vrd_core::montecarlo::exact_stats;
 use vrd_core::online::{convergence_trace, OnlineProfiler};
 use vrd_dram::device::{DeviceConfig, DramDevice};
 use vrd_dram::spec::VrdModelParams;
 use vrd_dram::{ModuleSpec, TestConditions};
-use vrd_memsim::security::{security_sweep, AttackConfig};
+use vrd_memsim::security::{plan_security_sweep, simulate_attack, AttackConfig, SweepPlan};
 use vrd_memsim::MitigationKind;
 
 use crate::foundational::FoundationalStudy;
 use crate::opts::Options;
 use crate::render::{f, sci, Table};
+use crate::runner::map_units;
 
 // ---------------------------------------------------------------- ablation
 
@@ -183,8 +185,12 @@ pub fn render_ablation(rows: &[AblationRow]) -> String {
 
 // ---------------------------------------------------------------- security
 
+/// The mechanisms [`security`] sweeps, in row order.
+const SECURITY_KINDS: [MitigationKind; 3] =
+    [MitigationKind::Graphene, MitigationKind::Para, MitigationKind::Prac];
+
 /// Security-sweep results for one module and mitigation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SecurityRow {
     /// Module whose measured RDT distribution drives the attack.
     pub module: String,
@@ -215,22 +221,56 @@ pub fn security(study: &FoundationalStudy, opts: &Options) -> Vec<SecurityRow> {
         rb.partial_cmp(&ra).expect("finite ratios")
     });
 
+    let plans: Vec<(&str, AttackConfig, SweepPlan)> = candidates
+        .into_iter()
+        .take(4)
+        .map(|result| {
+            let config = AttackConfig {
+                activations: 4_000_000,
+                rdt_distribution: result.series.values().to_vec(),
+                seed: opts.seed,
+            };
+            let plan = plan_security_sweep(&config, 1);
+            (result.module.as_str(), config, plan)
+        })
+        .collect();
+
+    // One executor unit per (module, mechanism, margin). Each attack
+    // keeps the seed `security_sweep` gives it, so the rows are the
+    // serial sweep's at any thread count.
+    let mut items = Vec::new();
+    for (module, config, plan) in &plans {
+        for (ki, kind) in SECURITY_KINDS.into_iter().enumerate() {
+            for (mi, &(_, configured)) in plan.configured.iter().enumerate() {
+                items.push((
+                    UnitKey::cell(module, ki as u32, mi as u32),
+                    (config, kind, configured),
+                ));
+            }
+        }
+    }
+    let mut escapes = map_units(opts, items, |&(config, kind, configured)| {
+        simulate_attack(kind, configured, config).escapes_per_million()
+    })
+    .into_iter();
+
     let mut rows = Vec::new();
-    for result in candidates.into_iter().take(4) {
-        let config = AttackConfig {
-            activations: 4_000_000,
-            rdt_distribution: result.series.values().to_vec(),
-            seed: opts.seed,
-        };
-        for kind in [MitigationKind::Graphene, MitigationKind::Para, MitigationKind::Prac] {
-            let sweep = security_sweep(kind, &config, 1);
+    for (module, _, plan) in &plans {
+        for kind in SECURITY_KINDS {
+            let points = plan
+                .configured
+                .iter()
+                .map(|&(margin, configured)| {
+                    (margin, configured, escapes.next().expect("one result per unit"))
+                })
+                .collect();
             rows.push(SecurityRow {
-                module: result.module.clone(),
+                module: (*module).to_owned(),
                 mitigation: kind,
                 estimate_n: 1,
-                points: sweep.points,
-                true_min: sweep.true_min,
-                estimated_min: sweep.estimated_min,
+                points,
+                true_min: plan.true_min,
+                estimated_min: plan.estimated_min,
             });
         }
     }

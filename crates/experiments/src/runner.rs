@@ -20,18 +20,30 @@ use vrd_dram::ModuleSpec;
 use crate::opts::Options;
 use crate::sinks::{self, CliProgressSink};
 
-/// Maps `f` over the option's module specs on the deterministic executor
-/// ([`vrd_core::exec`]), preserving Table-1 order in the output. One
-/// unit per module; a panicking module panics the call, as the old
-/// scoped-thread runner did.
+/// Maps `f` over keyed `items` on the deterministic executor
+/// ([`vrd_core::exec`]) at the option's thread count, preserving input
+/// order in the output. One unit per item; a panicking item panics the
+/// call. `f` sees only the item, not the executor's derived unit seed,
+/// so every item keeps whatever seed its caller gave it.
+pub fn map_units<I, T, F>(opts: &Options, items: Vec<(UnitKey, I)>, f: F) -> Vec<T>
+where
+    I: Send + Sync,
+    T: Send,
+    F: Fn(&I) -> T + Sync,
+{
+    let units = items.into_iter().map(|(key, item)| Unit::new(key, item)).collect();
+    exec::execute(&opts.exec_config(), units, |_ctx, item| f(item)).into_results()
+}
+
+/// Maps `f` over the option's module specs with [`map_units`], one unit
+/// per module, preserving Table-1 order in the output.
 pub fn map_modules<T, F>(opts: &Options, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(&ModuleSpec) -> T + Sync,
 {
-    let units: Vec<Unit<ModuleSpec>> =
-        opts.specs().into_iter().map(|s| Unit::new(UnitKey::module(&s.name), s)).collect();
-    exec::execute(&opts.exec_config(), units, |_ctx, spec| f(spec)).into_results()
+    let items = opts.specs().into_iter().map(|s| (UnitKey::module(&s.name), s)).collect();
+    map_units(opts, items, f)
 }
 
 /// Runs one campaign `body` under the full CLI harness: a shared
@@ -195,6 +207,17 @@ mod tests {
         opts.modules = vec!["H0".into(), "M1".into(), "S0".into()];
         let names = map_modules(&opts, |spec| spec.name.clone());
         assert_eq!(names, vec!["H0", "M1", "S0"]);
+    }
+
+    #[test]
+    fn map_units_preserves_input_order_at_any_thread_count() {
+        let mut opts = Options::smoke();
+        let items: Vec<(UnitKey, u32)> = (0..37).map(|i| (UnitKey::cell("M1", i, 0), i)).collect();
+        for threads in [1, 2, 8] {
+            opts.threads = threads;
+            let out = map_units(&opts, items.clone(), |&i| i * 3);
+            assert_eq!(out, (0..37).map(|i| i * 3).collect::<Vec<_>>(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | POST   | `/shutdown`        | graceful drain: running jobs finish       |
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,6 +71,42 @@ fn accept_loop(listener: &TcpListener, service: &Arc<Service>) {
 /// `Content-Length` is refused with 413 before anything is allocated.
 const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Longest request line or header line accepted, in bytes, line ending
+/// included. A longer line is refused with 431 after at most this many
+/// bytes are buffered, so a client that streams bytes without a newline
+/// cannot grow a line without bound (the read timeout applies per read,
+/// not per request).
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most bytes drained from a refused request before its connection
+/// closes (see [`refuse_long_line`]).
+const MAX_DRAIN_BYTES: u64 = 64 << 10;
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] bytes, line ending
+/// included. Returns `Ok(None)` when the line is longer, and an empty
+/// string at end of stream.
+fn read_line_capped(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = Vec::new();
+    let n = reader.take(MAX_LINE_BYTES as u64).read_until(b'\n', &mut line)?;
+    if n == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+        return Ok(None);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// Answers 431 to a request with an over-long line, then closes
+/// gracefully: the write side shuts first and what the client already
+/// sent is drained (at most [`MAX_DRAIN_BYTES`]), so the close does not
+/// reset the connection before the client has read the answer.
+fn refuse_long_line(mut stream: TcpStream, reader: &mut impl Read) {
+    let error = format!("request or header line longer than {MAX_LINE_BYTES} bytes");
+    json(&mut stream, 431, &format!("{{\"error\":{}}}", quote(&error)));
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = std::io::copy(&mut reader.take(MAX_DRAIN_BYTES), &mut std::io::sink());
+}
+
 /// Parses one request and routes it.
 fn handle(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
@@ -78,10 +114,11 @@ fn handle(mut stream: TcpStream, service: &Service) {
         Ok(clone) => clone,
         Err(_) => return,
     });
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
+    let request_line = match read_line_capped(&mut reader) {
+        Ok(Some(line)) => line,
+        Ok(None) => return refuse_long_line(stream, &mut reader),
+        Err(_) => return,
+    };
     let mut parts = request_line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_owned(), t.to_owned()),
@@ -89,11 +126,11 @@ fn handle(mut stream: TcpStream, service: &Service) {
     };
     let mut content_length = 0usize;
     loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) if line.trim().is_empty() => break,
-            Ok(_) => {
+        match read_line_capped(&mut reader) {
+            Ok(None) => return refuse_long_line(stream, &mut reader),
+            Ok(Some(line)) if line.is_empty() => return,
+            Ok(Some(line)) if line.trim().is_empty() => break,
+            Ok(Some(line)) => {
                 if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
                     let Ok(n) = v.trim().parse() else {
                         return json(&mut stream, 400, "{\"error\":\"bad Content-Length\"}");
@@ -230,6 +267,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8])
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let header = format!(
@@ -245,4 +283,23 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8])
 /// JSON string quoting (the shim has no standalone string escaper).
 fn quote(s: &str) -> String {
     serde_json::to_string(&s.to_owned()).expect("string serializes")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lines_are_read_up_to_the_cap_and_refused_past_it() {
+        let read = |bytes: Vec<u8>| read_line_capped(&mut std::io::Cursor::new(bytes)).unwrap();
+        let mut at_cap = vec![b'a'; MAX_LINE_BYTES - 1];
+        at_cap.push(b'\n');
+        assert_eq!(read(at_cap).map(|l| l.len()), Some(MAX_LINE_BYTES));
+        let mut past_cap = vec![b'a'; MAX_LINE_BYTES];
+        past_cap.push(b'\n');
+        assert_eq!(read(past_cap), None);
+        assert_eq!(read(vec![b'a'; 3 * MAX_LINE_BYTES]), None, "no newline at all");
+        assert_eq!(read(b"GET / HTTP/1.1\r\nHost: x\r\n".to_vec()).unwrap(), "GET / HTTP/1.1\r\n");
+        assert_eq!(read(Vec::new()).unwrap(), "", "end of stream");
+    }
 }

@@ -31,14 +31,16 @@
 
 use serde::{Deserialize, Serialize};
 
+use vrd_core::exec::UnitKey;
 use vrd_dram::spatial::SpatialProfile;
-use vrd_memsim::security::{simulate_spatial_attack, SpatialAttackConfig, SpatialVictim};
+use vrd_memsim::security::{simulate_spatial_attack_seeded, SpatialAttackConfig, SpatialVictim};
 use vrd_memsim::workload::region_victim_rows;
 use vrd_memsim::{MitigationConfig, MitigationKind, MitigationProfile};
 
 use crate::indepth::InDepthStudy;
 use crate::opts::Options;
 use crate::render::{f, Table};
+use crate::runner::map_units;
 
 /// The nominal RDTs the sweep scales the measured distribution to
 /// (Fig. 14's two operating points).
@@ -142,15 +144,17 @@ fn scale_distribution(dist: &[u32], measured_min: u32, target: u32) -> Vec<u32> 
         .collect()
 }
 
+/// One variant's outcome: `kind` configured from `profile`, attacked
+/// by `attack` with its RNG (and the mitigation's) seeded from `seed`.
 fn outcome(
     kind: MitigationKind,
     profile: &MitigationProfile,
     attack: &SpatialAttackConfig,
+    seed: u64,
 ) -> VariantOutcome {
-    let cfg =
-        MitigationConfig::builder().threshold(profile.min_threshold()).banks(1).seed(attack.seed);
+    let cfg = MitigationConfig::builder().threshold(profile.min_threshold()).banks(1).seed(seed);
     let mut mitigation = kind.build_with_profile(&cfg.build(), profile);
-    let result = simulate_spatial_attack(mitigation.as_mut(), attack);
+    let result = simulate_spatial_attack_seeded(mitigation.as_mut(), attack, seed);
     VariantOutcome {
         configured_min: profile.min_threshold(),
         configured_max: profile.max_region_threshold(),
@@ -219,10 +223,29 @@ pub fn run_with(
     let spatial_spread =
         f64::from(profile.max_region_threshold()) / f64::from(profile.min_threshold());
 
-    let mut points = Vec::new();
+    // Everything the cells share is built before the pool starts: one
+    // attack configuration per RDT target, owning that target's scaled
+    // distribution, and one (naive, uniform, profiled) profile triple
+    // per (target, guardband). Units borrow them and pass their own
+    // seed (the configurations' `seed` field goes unused), so no unit
+    // copies a distribution, and the pooled one is dropped before the
+    // pool starts.
+    let activations = opts.sweep_activations.max(1);
+    let attacks: Vec<SpatialAttackConfig> = RDT_TARGETS
+        .iter()
+        .map(|&target| {
+            let scaled = scale_distribution(&dist, measured_min, target);
+            let mut attack = SpatialAttackConfig::new(scaled, victims.clone(), opts.seed);
+            attack.activations = activations;
+            attack
+        })
+        .collect();
+    let distribution_len = dist.len();
+    drop(dist);
+
+    let mut profiles = Vec::new();
     for &target in &RDT_TARGETS {
-        let scaled = scale_distribution(&dist, measured_min, target);
-        for (gi, &guardband) in GUARDBANDS.iter().enumerate() {
+        for &guardband in &GUARDBANDS {
             let profiled = MitigationProfile::from_characterization(
                 module.clone(),
                 target,
@@ -234,30 +257,45 @@ pub fn run_with(
             );
             let uniform = MitigationProfile::flat(profiled.min_threshold());
             let naive = MitigationProfile::flat(profiled.max_region_threshold());
-            for (ki, &kind) in MitigationKind::EVALUATED.iter().enumerate() {
-                let seed = opts.seed ^ (u64::from(target) << 32) ^ ((gi as u64) << 8) ^ (ki as u64);
-                let mut attack = SpatialAttackConfig::new(scaled.clone(), victims.clone(), seed);
-                attack.activations = opts.sweep_activations.max(1);
-                points.push(SweepPoint {
-                    mitigation: kind,
-                    rdt_target: target,
-                    guardband_factor: guardband,
-                    naive: outcome(kind, &naive, &attack),
-                    uniform: outcome(kind, &uniform, &attack),
-                    profiled: outcome(kind, &profiled, &attack),
-                });
+            profiles.push([naive, uniform, profiled]);
+        }
+    }
+
+    // One executor unit per (RDT target, guardband, mechanism) cell,
+    // each running the three variants with the cell's own seed.
+    let kinds = MitigationKind::EVALUATED.len();
+    let mut cells = Vec::new();
+    for (ti, &target) in RDT_TARGETS.iter().enumerate() {
+        for gi in 0..GUARDBANDS.len() {
+            for ki in 0..kinds {
+                let key = UnitKey::cell(&module, target, (gi * kinds + ki) as u32);
+                cells.push((key, (ti, gi, ki)));
             }
         }
     }
+    let points = map_units(opts, cells, |&(ti, gi, ki)| {
+        let (target, kind) = (RDT_TARGETS[ti], MitigationKind::EVALUATED[ki]);
+        let seed = opts.seed ^ (u64::from(target) << 32) ^ ((gi as u64) << 8) ^ (ki as u64);
+        let [naive, uniform, profiled] = &profiles[ti * GUARDBANDS.len() + gi];
+        let run = |profile| outcome(kind, profile, &attacks[ti], seed);
+        SweepPoint {
+            mitigation: kind,
+            rdt_target: target,
+            guardband_factor: GUARDBANDS[gi],
+            naive: run(naive),
+            uniform: run(uniform),
+            profiled: run(profiled),
+        }
+    });
 
     SweepStudy {
         module,
         device_seed,
         region_rows,
         rows_covered,
-        activations: opts.sweep_activations.max(1),
+        activations,
         measured_min_rdt: measured_min,
-        distribution_len: dist.len(),
+        distribution_len,
         spatial_spread,
         victims,
         profile,

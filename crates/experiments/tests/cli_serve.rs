@@ -382,6 +382,27 @@ fn hostile_request_bodies_are_refused_and_the_service_survives() {
     assert_eq!(http_raw(&addr, &bad).0, 400);
     assert_eq!(http(&addr, "GET", "/healthz", "").0, 200, "service must keep answering");
 
+    // Request and header lines are capped at 8 KiB: a longer line is a
+    // 431 after the cap, including one that never ends, while a header
+    // just under the cap is still served.
+    let endless = "a".repeat(20_000);
+    let (status, body) = http_raw(&addr, &endless);
+    assert_eq!(status, 431, "an endless request line must be a 431: {body}");
+    let long_target = format!(
+        "GET /{} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n",
+        "a".repeat(16_000)
+    );
+    assert_eq!(http_raw(&addr, &long_target).0, 431, "oversized request line");
+    let header = |len: usize| {
+        format!(
+            "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nX-Pad: {}\r\nConnection: close\r\n\r\n",
+            "b".repeat(len)
+        )
+    };
+    assert_eq!(http_raw(&addr, &header(16_000)).0, 431, "oversized header line");
+    assert_eq!(http_raw(&addr, &header(8_000)).0, 200, "a header under the cap is served");
+    assert_eq!(http(&addr, "GET", "/healthz", "").0, 200, "service must keep answering");
+
     let (status, _) = http(&addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     assert!(child.wait().expect("service exits").success());

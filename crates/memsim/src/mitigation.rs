@@ -31,7 +31,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use vrd_dram::hashing::FxHashMap;
 
 /// Action requested by a mitigation in response to an activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -250,13 +250,18 @@ impl Mitigation for NoMitigation {
 }
 
 /// Graphene: per-bank Misra–Gries tables.
+///
+/// The tables hash with [`FxHashMap`] rather than SipHash: their keys are
+/// row numbers the simulator generates, and no output depends on map
+/// iteration order (the Misra–Gries eviction is a `retain` filter, so
+/// every counter it keeps or drops is the same in any order).
 #[derive(Debug)]
 pub struct Graphene {
     thresholds: MitigationProfile,
     /// Counter table capacity per bank (sized for the worst-case
     /// trigger, so the weakest region stays fully tracked).
     capacity: usize,
-    tables: Vec<HashMap<u32, u32>>,
+    tables: Vec<FxHashMap<u32, u32>>,
     /// Misra–Gries spillover counters.
     spill: Vec<u32>,
 }
@@ -278,7 +283,7 @@ impl Graphene {
         Graphene {
             thresholds,
             capacity,
-            tables: (0..banks).map(|_| HashMap::new()).collect(),
+            tables: (0..banks).map(|_| FxHashMap::default()).collect(),
             spill: vec![0; banks],
         }
     }
@@ -385,10 +390,14 @@ impl Mitigation for Para {
 }
 
 /// PRAC: per-row activation counters with alert back-off.
+///
+/// The counters hash with [`FxHashMap`] rather than SipHash: they are
+/// only probed by `(bank, row)` and never iterated, so no output depends
+/// on map iteration order.
 #[derive(Debug)]
 pub struct Prac {
     thresholds: MitigationProfile,
-    counters: HashMap<(usize, u32), u32>,
+    counters: FxHashMap<(usize, u32), u32>,
     /// Channel-wide stall of the ABO handshake (ns).
     backoff_ns: u64,
 }
@@ -403,7 +412,7 @@ impl Prac {
     /// region's threshold (the JEDEC NBO margin leaves room for
     /// in-flight activations).
     pub fn with_profile(thresholds: MitigationProfile) -> Self {
-        Prac { thresholds, counters: HashMap::new(), backoff_ns: 100 }
+        Prac { thresholds, counters: FxHashMap::default(), backoff_ns: 100 }
     }
 
     /// The alert threshold for one row.
@@ -524,10 +533,14 @@ impl Mitigation for Mint {
 /// blacklisting window exceeds a quota derived from the threshold get
 /// their subsequent activations delayed, so the row physically cannot
 /// reach the threshold before the refresh window resets it.
+///
+/// The counters hash with [`FxHashMap`] rather than SipHash: they are
+/// probed by `(bank, row)` and cleared wholesale at each window reset,
+/// never iterated, so no output depends on map iteration order.
 #[derive(Debug)]
 pub struct BlockHammer {
     thresholds: MitigationProfile,
-    counters: HashMap<(usize, u32), u32>,
+    counters: FxHashMap<(usize, u32), u32>,
     /// Activations seen since the last window reset.
     window_acts: u64,
     /// Window length in activations (≈ one refresh window of row cycles).
@@ -546,7 +559,7 @@ impl BlockHammer {
     /// cannot be spent within the window.
     pub fn with_profile(thresholds: MitigationProfile) -> Self {
         let window_len = 32_000_000 / 46; // tREFW / tRC activations
-        BlockHammer { thresholds, counters: HashMap::new(), window_acts: 0, window_len }
+        BlockHammer { thresholds, counters: FxHashMap::default(), window_acts: 0, window_len }
     }
 
     /// The worst-case (weakest-region) activation quota before

@@ -154,14 +154,24 @@ pub struct SecuritySweep {
     pub estimated_min: u32,
 }
 
-/// Runs the sweep for one mitigation: estimate the minimum from
-/// `estimate_n` random draws (as a vendor with limited test time would),
-/// then configure with margins `0%, 10%, 25%, 50%` below that estimate.
-pub fn security_sweep(
-    kind: MitigationKind,
-    config: &AttackConfig,
-    estimate_n: usize,
-) -> SecuritySweep {
+/// The configurations a [`security_sweep`] attacks: the N-measurement
+/// estimate of the distribution's minimum and the thresholds its
+/// margins derive from it. Independent of the mitigation, so one plan
+/// serves every mechanism swept against the same distribution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepPlan {
+    /// `(margin, configured threshold)` pairs, narrowest margin first.
+    pub configured: [(f64, u32); 4],
+    /// The distribution's true minimum.
+    pub true_min: u32,
+    /// The N-measurement estimate the margins were applied to.
+    pub estimated_min: u32,
+}
+
+/// Plans a security sweep: estimates the minimum from `estimate_n`
+/// random draws (as a vendor with limited test time would), then
+/// configures with margins `0%, 10%, 25%, 50%` below that estimate.
+pub fn plan_security_sweep(config: &AttackConfig, estimate_n: usize) -> SweepPlan {
     let mut rng = ChaCha12Rng::seed_from_u64(config.seed ^ 0xEC0);
     let dist = &config.rdt_distribution;
     let estimated_min = (0..estimate_n.max(1))
@@ -169,14 +179,28 @@ pub fn security_sweep(
         .min()
         .expect("estimate_n >= 1");
     let true_min = *dist.iter().min().expect("non-empty");
+    let configured = [0.0f64, 0.10, 0.25, 0.50].map(|margin| {
+        (margin, ((f64::from(estimated_min)) * (1.0 - margin)).floor().max(1.0) as u32)
+    });
+    SweepPlan { configured, true_min, estimated_min }
+}
 
-    let mut points = Vec::new();
-    for margin in [0.0f64, 0.10, 0.25, 0.50] {
-        let configured = ((f64::from(estimated_min)) * (1.0 - margin)).floor().max(1.0) as u32;
-        let result = simulate_attack(kind, configured, config);
-        points.push((margin, configured, result.escapes_per_million()));
-    }
-    SecuritySweep { points, true_min, estimated_min }
+/// Runs the sweep for one mitigation: attacks every configuration of
+/// [`plan_security_sweep`] in margin order.
+pub fn security_sweep(
+    kind: MitigationKind,
+    config: &AttackConfig,
+    estimate_n: usize,
+) -> SecuritySweep {
+    let plan = plan_security_sweep(config, estimate_n);
+    let points = plan
+        .configured
+        .iter()
+        .map(|&(margin, configured)| {
+            (margin, configured, simulate_attack(kind, configured, config).escapes_per_million())
+        })
+        .collect();
+    SecuritySweep { points, true_min: plan.true_min, estimated_min: plan.estimated_min }
 }
 
 /// One victim in a spatial multi-row attack.
@@ -260,11 +284,23 @@ pub fn simulate_spatial_attack(
     mitigation: &mut dyn Mitigation,
     config: &SpatialAttackConfig,
 ) -> SpatialAttackResult {
+    simulate_spatial_attack_seeded(mitigation, config, config.seed)
+}
+
+/// [`simulate_spatial_attack`] with the attack's RNG seeded from `seed`
+/// instead of `config.seed`, so attacks that differ only in their seed
+/// share one configuration (and its distribution) instead of each
+/// cloning it.
+pub fn simulate_spatial_attack_seeded(
+    mitigation: &mut dyn Mitigation,
+    config: &SpatialAttackConfig,
+    seed: u64,
+) -> SpatialAttackResult {
     const T_RC_NS: u64 = 46;
     const T_REFI_NS: u64 = 3_900;
     const T_REFW_NS: u64 = 32_000_000;
 
-    let mut rng = ChaCha12Rng::seed_from_u64(config.seed);
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let dist = &config.rdt_distribution;
     let draw_rdt = |rng: &mut ChaCha12Rng, factor: f64| -> u64 {
         let base = f64::from(dist[rng.gen_range(0..dist.len())]);
@@ -472,6 +508,18 @@ mod tests {
                 u.actions
             );
         }
+    }
+
+    #[test]
+    fn seeded_spatial_attack_matches_a_config_with_that_seed() {
+        let (mut attack, _) = spatial_scenario(11);
+        attack.activations = 50_000;
+        let cfg = MitigationConfig::builder().threshold(3_500).banks(1).seed(23).build();
+        let mut shared = MitigationKind::Para.build_with(&cfg);
+        let seeded = simulate_spatial_attack_seeded(shared.as_mut(), &attack, 23);
+        attack.seed = 23;
+        let mut own = MitigationKind::Para.build_with(&cfg);
+        assert_eq!(simulate_spatial_attack(own.as_mut(), &attack), seeded);
     }
 
     #[test]

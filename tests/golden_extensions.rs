@@ -15,6 +15,10 @@
 #[path = "util/golden.rs"]
 mod golden;
 
+use vrd::memsim::security::{security_sweep, AttackConfig};
+use vrd::memsim::MitigationKind;
+use vrd_experiments::extensions::SecurityRow;
+use vrd_experiments::foundational::FoundationalStudy;
 use vrd_experiments::{ecc_exp, extensions, foundational, Options};
 
 /// Compares `actual` against `tests/golden/<name>`, or rewrites the
@@ -73,4 +77,54 @@ fn extension_goldens_are_thread_invariant() {
         "security_seed_2025.json",
         &pretty(&extensions::security(&foundational::run(&opts), &opts)),
     );
+}
+
+/// The security rows as the serial loop computes them: the candidates
+/// with at least 100 measurements, widest max/min ratio first, at most
+/// four, each swept with `security_sweep` for Graphene, PARA and PRAC in
+/// turn on one thread.
+fn serial_security(study: &FoundationalStudy, opts: &Options) -> Vec<SecurityRow> {
+    let mut candidates: Vec<_> =
+        study.per_module.iter().filter(|r| r.series.len() >= 100).collect();
+    candidates.sort_by(|a, b| {
+        let ra = a.series.max_over_min().unwrap_or(1.0);
+        let rb = b.series.max_over_min().unwrap_or(1.0);
+        rb.partial_cmp(&ra).expect("finite ratios")
+    });
+    let mut rows = Vec::new();
+    for result in candidates.into_iter().take(4) {
+        let config = AttackConfig {
+            activations: 4_000_000,
+            rdt_distribution: result.series.values().to_vec(),
+            seed: opts.seed,
+        };
+        for kind in [MitigationKind::Graphene, MitigationKind::Para, MitigationKind::Prac] {
+            let sweep = security_sweep(kind, &config, 1);
+            rows.push(SecurityRow {
+                module: result.module.clone(),
+                mitigation: kind,
+                estimate_n: 1,
+                points: sweep.points,
+                true_min: sweep.true_min,
+                estimated_min: sweep.estimated_min,
+            });
+        }
+    }
+    rows
+}
+
+#[test]
+fn security_matches_the_serial_sweep_at_any_thread_count() {
+    // `extensions::security` runs each attack as an executor unit; every
+    // field of every row must equal the serial loop's at any thread
+    // count. One module keeps the debug-build run short; the two-module
+    // row order is pinned by the security golden at 1 and 4 threads.
+    let mut opts = Options { modules: vec!["M1".into()], ..golden_opts() };
+    let study = foundational::run(&opts);
+    let oracle = serial_security(&study, &opts);
+    assert_eq!(oracle.len(), 3, "M1 is a candidate, swept with three mechanisms");
+    for threads in [1, 2, 8] {
+        opts.threads = threads;
+        assert_eq!(extensions::security(&study, &opts), oracle, "{threads} threads");
+    }
 }

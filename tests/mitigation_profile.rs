@@ -1,7 +1,7 @@
 //! Validation suite for profile-driven spatial-variation-aware
 //! mitigations.
 //!
-//! Three layers of evidence that the per-region threshold machinery is
+//! Four layers of evidence that the per-region threshold machinery is
 //! safe to trust:
 //!
 //! 1. **Flat-profile equivalence (proptest).** A multi-region profile
@@ -19,9 +19,12 @@
 //!    round-trips exactly; every truncation of the artifact is a typed
 //!    parse error (never a panic), mirroring the checkpoint journal's
 //!    torn-tail discipline; and the `memsim-sweep` experiment's
-//!    scoreboard and crossover table are pinned as goldens, re-run at
-//!    several thread counts (bless with
-//!    `UPDATE_GOLDEN=mitigation_profile`).
+//!    scoreboard and crossover table are pinned as goldens (bless with
+//!    `UPDATE_GOLDEN=mitigation_profile`), with the whole study re-run
+//!    and compared at several thread counts.
+//! 4. **Crossover gate at bench scale.** The deterministic gate of
+//!    `bench_memsim_sweep_json --check`: F18, F19 and a covered-cell
+//!    action ratio of at least 1.2 at the emitter's default setting.
 
 #[path = "util/golden.rs"]
 mod golden;
@@ -294,16 +297,46 @@ fn sweep_scoreboard_matches_golden_and_passes() {
 
 #[test]
 fn sweep_is_thread_invariant() {
+    // The whole study, not just its rendering: `render` leaves out the
+    // preventive refreshes, the configured thresholds and the victims.
+    // The reference runs at 1 thread.
     let reference = reference_sweep();
     for threads in [2, 8] {
         let study = sweep_at(threads);
-        assert_eq!(
-            sweep_exp::render(&study),
-            sweep_exp::render(reference),
-            "sweep output changed at {threads} threads"
-        );
-        assert_eq!(scoreboard(&study), scoreboard(reference));
+        assert_eq!(&study, reference, "sweep study changed at {threads} threads");
     }
+}
+
+/// Uniform-over-profiled action ratio the covered cells must reach at
+/// bench scale (measured about 1.6x).
+const CHECK_MIN_ACTION_RATIO: f64 = 1.2;
+
+// The deterministic gate of `bench_memsim_sweep_json --check`, at its
+// setting: M1, 80 in-depth measurements, 2 picks per segment, 120k
+// activations per attack, seed 2025. F18 and F19 must hold and profiled
+// defenses must save at least `CHECK_MIN_ACTION_RATIO`x the uniform
+// worst case's actions on the cells it covers.
+#[test]
+fn sweep_crossover_holds_at_bench_scale() {
+    let opts = Options {
+        modules: vec!["M1".into()],
+        indepth_measurements: 80,
+        picks_per_segment: 2,
+        sweep_activations: 120_000,
+        seed: 2025,
+        ..Options::default()
+    };
+    let study = sweep_exp::run(&opts, &indepth::run(&opts));
+    let checks = findings::check_sweep(&study);
+    for id in [18, 19] {
+        assert!(checks.iter().any(|c| c.id == id && c.passed), "F{id} must hold: {checks:?}");
+    }
+    let (uniform, profiled) = sweep_exp::covered_actions(&study).expect("some cell is covered");
+    let ratio = uniform as f64 / (profiled as f64).max(1.0);
+    assert!(
+        ratio >= CHECK_MIN_ACTION_RATIO,
+        "profiled defenses save only {ratio:.3}x actions over uniform ({uniform} vs {profiled})"
+    );
 }
 
 // The sweep's profile artifact feeds memsim directly: what the
