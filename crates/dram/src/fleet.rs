@@ -156,6 +156,31 @@ pub enum FleetScope {
     Hbm2,
 }
 
+impl FleetScope {
+    /// Whether devices of `standard` belong to this scope.
+    pub fn admits(self, standard: DramStandard) -> bool {
+        match self {
+            FleetScope::All => true,
+            FleetScope::Ddr4 => standard == DramStandard::Ddr4,
+            FleetScope::Hbm2 => standard == DramStandard::Hbm2,
+        }
+    }
+}
+
+impl std::str::FromStr for FleetScope {
+    type Err = String;
+
+    /// Parses `ddr4`, `hbm2` or `all`, in any ASCII case.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "all" => Ok(FleetScope::All),
+            "ddr4" => Ok(FleetScope::Ddr4),
+            "hbm2" => Ok(FleetScope::Hbm2),
+            other => Err(format!("unknown family {other:?} (expected ddr4|hbm2|all)")),
+        }
+    }
+}
+
 /// The full roster of simulated modules.
 #[derive(Debug)]
 pub struct Fleet {
@@ -173,11 +198,7 @@ impl Fleet {
     pub fn with_scope(seed: u64, scope: FleetScope) -> Self {
         let modules = ModuleSpec::table1()
             .into_iter()
-            .filter(|s| match scope {
-                FleetScope::All => true,
-                FleetScope::Ddr4 => s.standard == DramStandard::Ddr4,
-                FleetScope::Hbm2 => s.standard == DramStandard::Hbm2,
-            })
+            .filter(|s| scope.admits(s.standard))
             .enumerate()
             .map(|(i, spec)| Module::new(spec, seed.wrapping_add(0x9E37 * (i as u64 + 1))))
             .collect();
@@ -234,6 +255,19 @@ mod tests {
         let hbm2 = Fleet::with_scope(1, FleetScope::Hbm2);
         assert_eq!(ddr4.len(), 21);
         assert_eq!(hbm2.len(), 4);
+    }
+
+    #[test]
+    fn scopes_parse_in_any_case() {
+        assert_eq!("HBM2".parse::<FleetScope>(), Ok(FleetScope::Hbm2));
+        assert_eq!("ddr4".parse::<FleetScope>(), Ok(FleetScope::Ddr4));
+        assert_eq!("All".parse::<FleetScope>(), Ok(FleetScope::All));
+        assert_eq!(
+            "DDR5".parse::<FleetScope>(),
+            Err("unknown family \"ddr5\" (expected ddr4|hbm2|all)".to_owned())
+        );
+        assert!(FleetScope::All.admits(DramStandard::Hbm2));
+        assert!(!FleetScope::Ddr4.admits(DramStandard::Hbm2));
     }
 
     #[test]

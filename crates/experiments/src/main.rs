@@ -278,12 +278,10 @@ fn parse(args: &[String]) -> Result<(Vec<String>, Options), String> {
                     need(&mut iter, arg)?.split(',').map(|s| s.trim().to_owned()).collect()
             }
             "--family" => {
-                opts.family = match need(&mut iter, arg)?.to_ascii_lowercase().as_str() {
-                    "all" => vrd_dram::fleet::FleetScope::All,
-                    "ddr4" => vrd_dram::fleet::FleetScope::Ddr4,
-                    "hbm2" => vrd_dram::fleet::FleetScope::Hbm2,
-                    other => return Err(format!("{arg}: expected ddr4|hbm2|all, got {other:?}")),
-                }
+                let value = need(&mut iter, arg)?;
+                opts.family = value.parse().map_err(|_| {
+                    format!("{arg}: expected ddr4|hbm2|all, got {:?}", value.to_ascii_lowercase())
+                })?;
             }
             "--seed" => {
                 opts.seed = need(&mut iter, arg)?.parse().map_err(|e| format!("{arg}: {e}"))?

@@ -164,16 +164,11 @@ impl Options {
     /// restricted to the `--family` scope, reduced to this process's
     /// shard.
     pub fn specs(&self) -> Vec<vrd_dram::ModuleSpec> {
-        use vrd_dram::fleet::FleetScope;
         let all = vrd_dram::ModuleSpec::table1();
         let scoped: Vec<vrd_dram::ModuleSpec> = all
             .into_iter()
             .filter(|s| self.modules.is_empty() || self.modules.iter().any(|m| m == &s.name))
-            .filter(|s| match self.family {
-                FleetScope::All => true,
-                FleetScope::Ddr4 => s.standard == vrd_dram::DramStandard::Ddr4,
-                FleetScope::Hbm2 => s.standard == vrd_dram::DramStandard::Hbm2,
-            })
+            .filter(|s| self.family.admits(s.standard))
             .collect();
         vrd_dram::fleet::shard_specs(&scoped, self.shard_index, self.shard_count)
     }

@@ -15,6 +15,11 @@ use vrd_dram::ModuleSpec;
 
 use crate::opts::Options;
 
+/// Most executor threads one job may ask for. The executor clamps a
+/// job's threads only to its unit count, so without this cap one
+/// submission scoped to many modules could start one OS thread each.
+const MAX_JOB_THREADS: usize = 64;
+
 /// The campaign kinds the service accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -132,8 +137,8 @@ pub struct JobSpec {
     pub sweep_activations: u64,
     /// Device-model row size in bytes.
     pub row_bytes: u32,
-    /// Executor threads *inside* the job (the worker pool provides
-    /// cross-job concurrency; per-job threading defaults to 1).
+    /// Executor threads *inside* the job, at most 64 (the worker pool
+    /// provides cross-job concurrency; per-job threading defaults to 1).
     pub threads: usize,
 }
 
@@ -175,6 +180,9 @@ impl JobSpec {
         if self.row_bytes == 0 {
             return Err("row_bytes must be positive".into());
         }
+        if self.threads > MAX_JOB_THREADS {
+            return Err(format!("threads must be at most {MAX_JOB_THREADS}"));
+        }
         Ok(())
     }
 
@@ -184,15 +192,7 @@ impl JobSpec {
     ///
     /// Returns a message when the field names no known family.
     pub fn fleet_scope(&self) -> Result<FleetScope, String> {
-        match self.family.as_deref() {
-            None => Ok(FleetScope::All),
-            Some(f) => match f.to_ascii_lowercase().as_str() {
-                "all" => Ok(FleetScope::All),
-                "ddr4" => Ok(FleetScope::Ddr4),
-                "hbm2" => Ok(FleetScope::Hbm2),
-                other => Err(format!("unknown family {other:?} (expected ddr4|hbm2|all)")),
-            },
-        }
+        self.family.as_deref().map_or(Ok(FleetScope::All), str::parse)
     }
 
     /// The experiment scale this submission maps onto. Module scoping
@@ -224,11 +224,7 @@ impl JobSpec {
     /// Deterministic in `(spec, fleet)`.
     pub fn select_specs(&self, fleet: &[ModuleSpec]) -> Vec<ModuleSpec> {
         let scope = self.fleet_scope().unwrap_or(FleetScope::All);
-        let scoped = fleet.iter().filter(|s| match scope {
-            FleetScope::All => true,
-            FleetScope::Ddr4 => s.standard == vrd_dram::DramStandard::Ddr4,
-            FleetScope::Hbm2 => s.standard == vrd_dram::DramStandard::Hbm2,
-        });
+        let scoped = fleet.iter().filter(|s| scope.admits(s.standard));
         if self.modules.is_empty() {
             scoped.take(self.limit).cloned().collect()
         } else {
@@ -412,10 +408,15 @@ mod tests {
         spec.tenant = "t".into();
         spec.validate().unwrap();
         spec.family = Some("ddr5".into());
-        assert!(spec.validate().is_err());
+        assert_eq!(spec.validate(), Err("unknown family \"ddr5\" (expected ddr4|hbm2|all)".into()));
         spec.family = None;
         spec.limit = 0;
         assert!(spec.validate().is_err());
+        spec.limit = 2;
+        spec.threads = MAX_JOB_THREADS;
+        spec.validate().unwrap();
+        spec.threads = MAX_JOB_THREADS + 1;
+        assert_eq!(spec.validate(), Err("threads must be at most 64".into()));
     }
 
     #[test]

@@ -382,6 +382,20 @@ fn hostile_request_bodies_are_refused_and_the_service_survives() {
     assert_eq!(http_raw(&addr, &bad).0, 400);
     assert_eq!(http(&addr, "GET", "/healthz", "").0, 200, "service must keep answering");
 
+    // A job's executor threads are capped: one submission must not make
+    // a worker start a thread per module. Refused before it is queued.
+    let (status, body) = http(
+        &addr,
+        "POST",
+        "/jobs",
+        r#"{"tenant": "mallory", "kind": "foundational", "limit": 50, "threads": 100000}"#,
+    );
+    assert_eq!(status, 400, "an oversized thread count must be a 400: {body}");
+    assert!(body.contains("threads must be at most"), "{body}");
+    let (status, body) = http(&addr, "GET", "/jobs", "");
+    assert_eq!(status, 200);
+    assert!(!body.contains("mallory"), "the refused job must not be queued: {body}");
+
     // Request and header lines are capped at 8 KiB: a longer line is a
     // 431 after the cap, including one that never ends, while a header
     // just under the cap is still served.

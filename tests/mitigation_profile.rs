@@ -22,9 +22,9 @@
 //!    scoreboard and crossover table are pinned as goldens (bless with
 //!    `UPDATE_GOLDEN=mitigation_profile`), with the whole study re-run
 //!    and compared at several thread counts.
-//! 4. **Crossover gate at bench scale.** The deterministic gate of
-//!    `bench_memsim_sweep_json --check`: F18, F19 and a covered-cell
-//!    action ratio of at least 1.2 at the emitter's default setting.
+//! 4. **Crossover gate at bench scale.** F18, F19 and a covered-cell
+//!    action ratio of at least 1.2 at the scale `BENCH_memsim_sweep.json`
+//!    records.
 
 #[path = "util/golden.rs"]
 mod golden;
@@ -311,11 +311,12 @@ fn sweep_is_thread_invariant() {
 /// bench scale (measured about 1.6x).
 const CHECK_MIN_ACTION_RATIO: f64 = 1.2;
 
-// The deterministic gate of `bench_memsim_sweep_json --check`, at its
-// setting: M1, 80 in-depth measurements, 2 picks per segment, 120k
-// activations per attack, seed 2025. F18 and F19 must hold and profiled
-// defenses must save at least `CHECK_MIN_ACTION_RATIO`x the uniform
-// worst case's actions on the cells it covers.
+// The spatial-aware defenses crossover at the scale
+// `BENCH_memsim_sweep.json` records: M1, 80 in-depth measurements, 2
+// picks per segment, 120k activations per attack, seed 2025. F18 and
+// F19 must hold and profiled defenses must save at least
+// `CHECK_MIN_ACTION_RATIO`x the uniform worst case's actions on the
+// cells it covers.
 #[test]
 fn sweep_crossover_holds_at_bench_scale() {
     let opts = Options {
